@@ -2,11 +2,12 @@
 
 Shape reproduced: on a ≥10k-edge stream, the interned-signature matcher,
 int-edge-key match index, trie lookup tables and batched window routing
-make (a) the plain-LDG placement loop, (b) the full LOOM pipeline
-(window -> motif matcher -> group LDG) and (c) the distributed pattern
-matcher measurably faster than the PR-1 representation preserved in
-:mod:`repro.bench.legacy`, while producing byte-identical assignments
-and query results (asserted inside the benchmark itself).
+make (a) the plain-LDG placement loop and (b) the full LOOM pipeline
+(window -> motif matcher -> group LDG) measurably faster than the PR-1
+representation preserved in :mod:`repro.bench.legacy`, and (c) the
+level-at-a-time query kernel beats the backtracking executor preserved
+there, while producing byte-identical assignments and query results
+(asserted inside the benchmark itself).
 
 This file doubles as the CI bench smoke job: the ``loom_speedup``
 assertion guards the hot path against regressions (CI fails well before
@@ -25,11 +26,10 @@ def test_engine_hotpath_faster_than_seed(benchmark):
     assert result.edges >= 10_000, "benchmark stream must have >= 10k edges"
     # All three hot paths must beat the PR-1 baseline.
     assert result.ldg_speedup > 1.1, result.as_dict()
-    # The PR-2 executor optimisations (hoisted pattern edges, single
-    # partition resolve per expansion) apply to both representations, so
-    # the remaining executor gap is the graph core alone -- smaller than
-    # in PR 1, and asserted with headroom for CI noise.
-    assert result.executor_speedup > 1.05, result.as_dict()
+    # The executor side compares the level-at-a-time counting kernel
+    # with the reference backtracker on the uncached graph (~20x here;
+    # BENCH_PR12.json); the floor leaves wide headroom for CI noise.
+    assert result.executor_speedup > 3.0, result.as_dict()
     # The LOOM pipeline runs ~1.5x on quiet machines (BENCH_PR2.json);
     # the CI guard is the regression floor -- any dip below parity with
     # the PR-1 path is a real hot-path regression, while asserting the

@@ -4,9 +4,9 @@
 Equivalent to ``loom-repro bench``.  Times every experiment the
 ``bench_*`` pytest files wrap (fast mode by default, like the pytest
 suite) plus the engine hot-path microbenchmark, then writes
-``BENCH_PR10.json``::
+``BENCH_PR12.json``::
 
-    PYTHONPATH=src python benchmarks/run_all.py [--out BENCH_PR10.json]
+    PYTHONPATH=src python benchmarks/run_all.py [--out BENCH_PR12.json]
                                                 [--seed 0] [--full]
                                                 [--baseline BENCH_PR6.json]
 
@@ -33,7 +33,7 @@ from repro.bench.runner import (  # noqa: E402
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--out", default="BENCH_PR10.json")
+    parser.add_argument("--out", default="BENCH_PR12.json")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--full", action="store_true",

@@ -18,7 +18,7 @@ WAL      every ``DistributedGraphStore`` mutator announces itself to
 CFG      config dataclasses round-trip every field through
          ``as_dict``/``from_dict`` and reject unknown keys
 OBS      metrics catalogue discipline: every metric name declared
-         exactly once (``repro/obs/catalog.py``), names
+         exactly once (``repro/obs/catalog/__init__.py``), names
          ``snake_case.dotted``
 =======  ==============================================================
 

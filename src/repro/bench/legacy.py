@@ -12,24 +12,38 @@ match-index / trie-lookup-table rebuild:
   ``children`` signature set per event, and
 * window departures copying external-neighbour sets per vertex.
 
+``LegacyQueryExecutor`` is the per-embedding backtracking query
+executor that :mod:`repro.cluster.executor` replaced with its
+level-at-a-time counting kernel.
+
 They exist for two reasons: the engine hot-path benchmark times the
-optimised pipeline against this exact cost model (the ``loom_speedup``
-figure in BENCH files), and the matcher equivalence tests pin the
-optimised matcher's match sets and assignments byte-identical to this
-reference.  Behaviour changes belong in :mod:`repro.core.matcher` /
-:mod:`repro.stream.window`, never here.
+optimised pipeline and query kernel against these exact cost models
+(the ``loom_speedup`` and ``executor_speedup`` figures in BENCH files),
+and the equivalence tests pin the optimised matcher's match sets and
+assignments, and the kernel's matches and traversal ledgers, to these
+references.  Behaviour changes belong in :mod:`repro.core.matcher` /
+:mod:`repro.stream.window` / :mod:`repro.cluster.executor`, never here.
 """
 
 from __future__ import annotations
 
+import random
 from collections import OrderedDict, deque
+from collections.abc import Sequence
 from dataclasses import dataclass
 
+from repro.cluster.executor import (
+    QueryExecution,
+    TraversalLedger,
+    WorkloadStats,
+    _natural_order,
+)
+from repro.cluster.store import DistributedGraphStore
 from repro.core.config import LoomConfig
 from repro.core.loom import LoomPartitioner
 from repro.core.traversal_aware import TraversalAwareLDG
 from repro.exceptions import StreamError
-from repro.graph.isomorphism import is_isomorphic
+from repro.graph.isomorphism import is_isomorphic, search_order
 from repro.graph.labelled import Edge, Label, LabelledGraph, Vertex, edge_key
 from repro.graph.views import edge_subgraph
 from repro.partitioning.streaming import choose_partition_for_group
@@ -37,6 +51,7 @@ from repro.stream.events import EdgeArrival, StreamEvent, VertexArrival
 from repro.stream.window import WindowedVertex
 from repro.tpstry.node import TPSTryNode
 from repro.tpstry.trie import TPSTryPP
+from repro.workload.query import PatternQuery
 from repro.workload.workloads import Workload
 
 MatchKey = frozenset  # frozenset of canonical edge tuples
@@ -509,3 +524,183 @@ class LegacyLoomPartitioner(LoomPartitioner):
                 self.assignment.note_edge(neighbour, vertex)
         self.matcher.forget({vertex})
         self.stats["singles"] += 1
+
+
+#: One deduplicated query answer: the matched vertex set plus the matched
+#: edge set as compact int edge ids.
+Answer = tuple[frozenset, frozenset]
+
+
+class LegacyQueryExecutor:
+    """The per-embedding backtracker :mod:`repro.cluster.executor` used
+    before its level-at-a-time kernel -- that kernel's reference oracle.
+
+    Moved here unchanged but for one line: the expanded anchor is the
+    first placed pattern neighbour in natural vertex order (the kernel's
+    rule), not the first in ``frozenset`` order, which follows
+    ``PYTHONHASHSEED`` for string ids.  Answers are collected and
+    deduplicated as (vertex set, edge-id set) pairs, so matches count
+    sub-graphs independently of the kernel's automorphism argument.
+
+    ``track_edges=True`` additionally records how often each concrete
+    graph edge is traversed (workload profiling for the offline
+    workload-aware baseline and the replication layer).
+
+    The top-level search decomposes perfectly by *seed*: each candidate
+    image of the first pattern vertex roots an independent subtree
+    (``mapping``/``used`` are empty between seeds, and answer dedup never
+    prunes traversals).  :meth:`execute_partial` exposes that seam -- run
+    only the subtrees rooted at ``seeds`` and return the raw answer set
+    plus ledger; summing partial ledgers and unioning partial answer
+    sets reproduces a serial :meth:`execute` exactly.
+    """
+
+    def __init__(
+        self, store: DistributedGraphStore, *, track_edges: bool = False
+    ) -> None:
+        self.store = store
+        self.track_edges = track_edges
+
+    def seed_candidates(self, pattern) -> list[Vertex]:
+        """Depth-0 candidates: the label-index lookup for the first vertex
+        of the search order, in the executor's deterministic (repr) order.
+        No edge is crossed, so seeds are ledger-free."""
+        order = search_order(pattern)
+        if not order:
+            return []
+        wanted = pattern.label(order[0])
+        return sorted(self.store.vertices_with_label(wanted), key=repr)
+
+    def execute(self, query: PatternQuery) -> QueryExecution:
+        """Run ``query`` to completion (all matches), counting traversals."""
+        answers, ledger = self.execute_partial(query, None)
+        return QueryExecution(query.name, len(answers), ledger)
+
+    def execute_partial(
+        self, query: PatternQuery, seeds: Sequence[Vertex] | None
+    ) -> tuple[set[Answer], TraversalLedger]:
+        """Run only the search subtrees rooted at ``seeds``.
+
+        ``seeds`` must be a subset of :meth:`seed_candidates` for the
+        query's pattern (``None`` means all of them, i.e. a full serial
+        execution).  Returns the deduplicated answer set found under
+        those seeds and the traversal ledger of exactly that work.
+        """
+        pattern = query.graph
+        store = self.store
+        ledger = TraversalLedger(track_edges=self.track_edges)
+        track_edges = self.track_edges
+
+        order = search_order(pattern)
+        # Hoisted out of the per-answer leaf: the pattern's edge list is
+        # fixed for the whole execution, and answers dedup by compact
+        # integer edge ids from the store graph's interned adjacency core
+        # (cheaper to hash than canonical vertex tuples, same identity).
+        pattern_edges = list(pattern.edges())
+        answer_edge_id = store.graph.edge_id
+        record = ledger.record
+        is_remote_from = store.is_remote_from
+        store_label = store.label
+        mapping: dict[Vertex, Vertex] = {}
+        used: set[Vertex] = set()
+        seen_answers: set[Answer] = set()
+
+        def candidates(pattern_vertex: Vertex) -> list[Vertex]:
+            wanted = pattern.label(pattern_vertex)
+            anchors = _natural_order(
+                [p for p in pattern.neighbours(pattern_vertex) if p in mapping]
+            )
+            if not anchors:
+                # Label-index lookup: no edge crossed.
+                return sorted(
+                    (
+                        v
+                        for v in store.vertices_with_label(wanted)
+                        if v not in used
+                    ),
+                    key=repr,
+                )
+            # Expand from the matched anchor image: each neighbour touched
+            # is one traversal (the remote side must be asked for its
+            # label/degree, whether or not it ends up matching).  The
+            # anchor's partition is resolved once for the whole expansion.
+            anchor_image = mapping[anchors[0]]
+            home = store.partition_of(anchor_image)
+            pool = []
+            for w in store.sorted_neighbours(anchor_image):
+                record(
+                    is_remote_from(home, w),
+                    edge=edge_key(anchor_image, w) if track_edges else None,
+                )
+                if w in used or store_label(w) != wanted:
+                    continue
+                pool.append(w)
+            # Remaining anchors filter by adjacency; checking adjacency of
+            # an already-fetched candidate against a matched vertex is a
+            # shard-local index probe on the candidate's record.
+            out = []
+            for w in pool:
+                ok = True
+                for other in anchors[1:]:
+                    if w not in store.neighbours(mapping[other]):
+                        ok = False
+                        break
+                if ok:
+                    out.append(w)
+            return out
+
+        def backtrack(depth: int) -> None:
+            if depth == len(order):
+                # A query answer is a sub-graph: dedup by mapped vertices
+                # *and* mapped edges (two embeddings over the same vertex
+                # set can select different edges, e.g. a path inside a
+                # triangle), matching the reference matcher exactly.
+                seen_answers.add(
+                    (
+                        frozenset(mapping.values()),
+                        frozenset(
+                            answer_edge_id(mapping[u], mapping[v])
+                            for u, v in pattern_edges
+                        ),
+                    )
+                )
+                return
+            pattern_vertex = order[depth]
+            for candidate in candidates(pattern_vertex):
+                mapping[pattern_vertex] = candidate
+                used.add(candidate)
+                backtrack(depth + 1)
+                del mapping[pattern_vertex]
+                used.discard(candidate)
+
+        if not order:
+            # Degenerate empty pattern (unreachable through PatternQuery,
+            # which requires at least one vertex): one empty answer.
+            seen_answers.add((frozenset(), frozenset()))
+        else:
+            first = order[0]
+            for seed in candidates(first) if seeds is None else seeds:
+                mapping[first] = seed
+                used.add(seed)
+                backtrack(1)
+                del mapping[first]
+                used.discard(seed)
+        return seen_answers, ledger
+
+
+def run_legacy_workload(
+    store: DistributedGraphStore,
+    workload: Workload,
+    *,
+    executions: int,
+    rng: random.Random,
+    track_edges: bool = False,
+) -> WorkloadStats:
+    """:func:`repro.cluster.executor.run_workload` on the legacy
+    backtracker: the same sampled stream, the same aggregation."""
+    executor = LegacyQueryExecutor(store, track_edges=track_edges)
+    stats = WorkloadStats()
+    stats.ledger.track_edges = track_edges
+    for query in workload.sample_many(executions, rng):
+        stats.observe(executor.execute(query))
+    return stats

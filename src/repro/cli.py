@@ -12,8 +12,8 @@
     loom-repro recover --wal-dir wal/ --json --out recovered.json
     loom-repro retract --snapshot c.json --vertex 7 --edge 1 2 --out c2.json
     loom-repro rebalance --snapshot c.json --max-moves 20 --out c2.json
-    loom-repro bench --out BENCH_PR10.json --baseline BENCH_PR6.json
-    loom-repro bench --baseline BENCH_PR10.json --fail-below 0.9
+    loom-repro bench --out BENCH_PR12.json --baseline BENCH_PR10.json
+    loom-repro bench --baseline BENCH_PR12.json --fail-below 0.9
     loom-repro analyze                   # invariant static analysis
     loom-repro analyze --select DET,WAL --format json
     loom-repro serve --tenant demo --method ldg -k 4 --port 7466
@@ -619,7 +619,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser(
         "bench", help="run the benchmark suite, write machine-readable JSON"
     )
-    bench.add_argument("--out", default="BENCH_PR10.json")
+    bench.add_argument("--out", default="BENCH_PR12.json")
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--full", action="store_true", help="full grids (slow)")
     bench.add_argument("--no-hotpath", action="store_true",

@@ -9,9 +9,10 @@ assumes with an in-process simulation:
 * :class:`~repro.cluster.store.DistributedGraphStore` hosts the data graph
   across ``k`` partition shards as produced by any partitioner;
 * :class:`~repro.cluster.executor.DistributedQueryExecutor` runs pattern
-  queries with the standard backtracking search, recording every edge
-  traversal in a :class:`~repro.cluster.executor.TraversalLedger`
-  (local vs. crossing a partition boundary);
+  queries with a level-at-a-time counting kernel over the store's read
+  index, recording every edge traversal in a
+  :class:`~repro.cluster.executor.TraversalLedger` (local vs. crossing a
+  partition boundary);
 * :class:`~repro.cluster.latency.LatencyModel` converts ledgers into
   modelled wall-clock cost (remote hops dominate).
 """

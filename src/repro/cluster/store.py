@@ -72,6 +72,9 @@ class DistributedGraphStore:
         #: replay) and ``"!"`` (journal-inexpressible barrier: replay
         #: must stop and fall back to the next checkpoint).
         self.wal_hook: Callable[[tuple[Any, ...], int], None] | None = None
+        # The query kernel's read index for one version (see
+        # :meth:`read_index`); dropped whenever that version is left.
+        self._read_index: StoreReadIndex | None = None
 
     @classmethod
     def incremental(cls, k: int, capacity: int) -> "DistributedGraphStore":
@@ -101,6 +104,7 @@ class DistributedGraphStore:
     def _mutated(self, *op: Any) -> None:
         """Tick the version and journal one effective mutation."""
         self._ticks += 1
+        self._read_index = None
         journal = self._journal
         if journal is not None and not self._journal_overflow:
             if len(journal) >= self._journal_limit:
@@ -280,6 +284,7 @@ class DistributedGraphStore:
         must ship a full snapshot."""
         self.assignment = assignment
         self._ticks += 1
+        self._read_index = None
         if self._journal is not None:
             self._journal.clear()
             self._journal_overflow = True
@@ -315,6 +320,19 @@ class DistributedGraphStore:
         """Neighbours in the executor's deterministic expansion order
         (cached by the graph's indexed adjacency core)."""
         return self.graph.sorted_neighbours(vertex)
+
+    def read_index(self) -> "StoreReadIndex":
+        """The query kernel's read index for the current version.
+
+        Built on first use and kept until the store next changes (any
+        effective mutation, :meth:`adopt_assignment` or a rebuild-path
+        :meth:`adopt_replica` drops it), so every query against a
+        quiescent store shares one set of per-slot entries.
+        """
+        index = self._read_index
+        if index is None:
+            index = self._read_index = StoreReadIndex(self)
+        return index
 
     def vertices_with_label(self, label: Label) -> list[Vertex]:
         """Label-index lookup (does not count as an edge traversal).
@@ -373,6 +391,7 @@ class DistributedGraphStore:
         """Install a replica entry verbatim (rebuild paths only: column
         decode, state import).  No validation, no version tick."""
         self._replicas.setdefault(vertex, set()).add(partition)
+        self._read_index = None
 
     def replicas_of(self, vertex: Vertex) -> frozenset[int]:
         return frozenset(self._replicas.get(vertex, ()))
@@ -506,4 +525,92 @@ class DistributedGraphStore:
         return (
             f"DistributedGraphStore(k={self.k}, |V|={self.graph.num_vertices}, "
             f"|E|={self.graph.num_edges})"
+        )
+
+
+#: One read-index slot entry: ``(home partition, local neighbours,
+#: remote neighbours, neighbour slots by label)``.
+SlotEntry = tuple[int, int, int, dict[Label, tuple[int, ...]]]
+
+
+class StoreReadIndex:
+    """Per-version read index over a store's interned slots.
+
+    Everything the query kernel asks of one data vertex, computed once
+    per store version instead of once per partial embedding.  Each slot
+    entry (:meth:`entry`, built lazily) holds the slot's home partition,
+    how many of its neighbours a hop from that home reaches locally or
+    remotely -- replicas credited exactly as
+    :meth:`DistributedGraphStore.is_remote_from` credits them -- and its
+    neighbour slots grouped by label.  ``adj`` is the graph's own
+    slot adjacency, so adjacency tests are set probes on ints.
+
+    The index lives on its store (:meth:`DistributedGraphStore.read_index`)
+    and is only valid until the store next changes.
+    """
+
+    __slots__ = (
+        "slot_of", "ids", "adj", "entries", "_labels", "_graph",
+        "_partition_of", "_replicas", "_label_slots",
+    )
+
+    def __init__(self, store: DistributedGraphStore) -> None:
+        self.slot_of, self.ids, self._labels, self.adj = (
+            store.graph.slot_tables()
+        )
+        self._graph = store.graph
+        self._partition_of = store.assignment.partition_of
+        self._replicas = store._replicas
+        #: Slot -> entry, for the entries built so far (:meth:`entry`
+        #: builds the rest).
+        self.entries: dict[int, SlotEntry] = {}
+        self._label_slots: dict[Label, list[int]] = {}
+
+    def label_slots(self, label: Label) -> list[int]:
+        """Slots carrying ``label``, in label-index order."""
+        slots = self._label_slots.get(label)
+        if slots is None:
+            slot_of = self.slot_of
+            slots = self._label_slots[label] = [
+                slot_of[vertex]
+                for vertex in self._graph.vertices_with_label(label)
+            ]
+        return slots
+
+    def entry(self, slot: int) -> SlotEntry:
+        """The entry of ``slot``, built on first use."""
+        entry = self.entries.get(slot)
+        if entry is None:
+            entry = self.entries[slot] = self._build(slot)
+        return entry
+
+    def _home(self, vertex: Vertex) -> int:
+        partition = self._partition_of(vertex)
+        if partition is None:
+            raise PartitioningError(f"vertex {vertex!r} unassigned")
+        return partition
+
+    def _build(self, slot: int) -> SlotEntry:
+        ids = self.ids
+        labels = self._labels
+        replicas = self._replicas
+        home = self._home(ids[slot])
+        local = 0
+        groups: dict[Label, list[int]] = {}
+        neighbours = self.adj[slot]
+        for w in neighbours:
+            vertex = ids[w]
+            if self._home(vertex) == home or home in replicas.get(vertex, ()):
+                local += 1
+            label = labels[w]
+            group = groups.get(label)
+            if group is None:
+                groups[label] = [w]
+            else:
+                group.append(w)
+        return (
+            home,
+            local,
+            len(neighbours) - local,
+            {label: tuple(group) for label, group in groups.items()},
         )

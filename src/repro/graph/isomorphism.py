@@ -10,8 +10,10 @@ edges.
 
 This module is authoritative (exact) and is used for three things:
 
-* executing queries in the simulated cluster (:mod:`repro.cluster.executor`
-  instruments a twin of this search with traversal accounting),
+* fixing the search order of the simulated cluster's query kernel
+  (:mod:`repro.cluster.executor` compiles :func:`search_order` into its
+  plans, and this module's embeddings of a pattern into itself into
+  their automorphism lists),
 * verifying the *non-authoritative* signature matcher in tests and in
   experiment E7,
 * computing ground-truth motif occurrence counts.
@@ -28,11 +30,13 @@ from repro.graph.views import edge_subgraph
 Embedding = dict[Vertex, Vertex]
 
 
-def _search_order(pattern: LabelledGraph) -> list[Vertex]:
+def search_order(pattern: LabelledGraph) -> list[Vertex]:
     """Order pattern vertices so each one (after the first per component)
     neighbours an earlier vertex -- keeps the backtracking frontier connected,
     which is what makes VF2-style search fast.
     Highest degree first breaks ties toward more-constrained vertices.
+    The cluster executor's query plans use the same order, so its
+    traversal ledgers are defined by this function.
     """
     remaining = set(pattern.vertices())
     order: list[Vertex] = []
@@ -74,7 +78,7 @@ def find_embeddings(
         if target_histogram.get(label, 0) < needed:
             return
 
-    order = _search_order(pattern)
+    order = search_order(pattern)
 
     mapping: Embedding = {}
     used: set[Vertex] = set()

@@ -203,6 +203,21 @@ class LabelledGraph:
                 return vertex
         raise VertexNotFoundError(index)
 
+    def slot_tables(
+        self,
+    ) -> tuple[
+        dict[Vertex, int], list[Vertex | None], list[Label | None], list[set[int]]
+    ]:
+        """The interned core itself: ``(vertex -> slot, slot -> vertex,
+        slot -> label, slot -> neighbour slots)``.
+
+        Live, not copies -- read-only for callers, and only valid until
+        the next mutation.  The query kernel
+        (:mod:`repro.cluster.executor`) walks these directly so that
+        adjacency tests stay set probes on ints.
+        """
+        return self._index_of, self._ids, self._labels_at, self._adj_at
+
     #: Slot width of packed edge ids (:meth:`edge_id`).
     _EDGE_ID_SHIFT = 32
 

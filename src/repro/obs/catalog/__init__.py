@@ -7,7 +7,10 @@ read it:
   instantiate;
 - :func:`catalog_table` -- the markdown table embedded in
   ``docs/observability.md`` (``python -m repro.obs.catalog``
-  regenerates it; the doc-sync test pins the two in both directions);
+  regenerates it; the doc-sync test pins the two in both directions).
+  The catalogue is a package so that command runs its ``__main__``
+  module: ``import repro`` already loads this one, and running a loaded
+  module as ``__main__`` makes runpy warn;
 - the ``OBS001`` analysis checker, which proves statically that no
   other module registers a metric (one declaration site, this one).
 
@@ -90,7 +93,7 @@ def declare_metrics(registry: MetricsRegistry) -> None:
         "worker.requests", "Execute requests answered by workers"
     )
     registry.counter(
-        "worker.answers", "Partial answers produced worker-side"
+        "worker.answers", "Answers counted worker-side (sums to executor.answers)"
     )
     registry.counter(
         "worker.traversals",
@@ -208,7 +211,3 @@ def catalog_table() -> str:
             f"| `{spec.name}` | {spec.kind} | {labels} | {spec.help} |"
         )
     return "\n".join(lines)
-
-
-if __name__ == "__main__":
-    print(catalog_table())

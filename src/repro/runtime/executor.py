@@ -3,17 +3,17 @@
 :class:`ShardedExecutor` presents the same ``execute`` contract as
 :class:`~repro.cluster.executor.DistributedQueryExecutor`, but fans the
 work out across a :class:`~repro.runtime.pool.WorkerPool`: every worker
-runs the search subtrees rooted at the depth-0 seeds homed in its owned
-partitions, and the coordinator merges the partial
-:class:`~repro.cluster.executor.TraversalLedger` counts and answer sets
-deterministically.  The merge is exact, not approximate:
+runs the search rooted at the depth-0 seeds homed in its owned
+partitions, and the coordinator sums the partial
+:class:`~repro.cluster.executor.TraversalLedger` counts and answer
+counts.  The merge is exact, not approximate:
 
-* per-seed subtrees are independent (``mapping``/``used`` reset between
-  seeds, dedup never prunes traversals), so summing partial local/remote
-  counts equals the serial ledger;
-* answers dedup by (vertex set, edge-id set), and all workers share one
-  snapshot -- identical slot numbering -- so unioning their answer sets
-  equals the serial ``seen_answers``.
+* every partial embedding descends from one seed, so summing partial
+  local/remote counts equals the serial ledger;
+* each answer is counted once, at its canonical embedding, which is
+  rooted at exactly one seed; all workers share one snapshot --
+  identical slot numbering -- so they agree on which embedding that
+  is, and the partial counts add up to the serial count.
 
 Hence a parallel :class:`QueryExecution` (and any
 ``WorkloadStats``/report built from it) is byte-identical to the serial
@@ -130,18 +130,18 @@ class ShardedExecutor:
         executions: list[QueryExecution] = []
         for index, query in enumerate(queries):
             ledger = TraversalLedger(track_edges=self.track_edges)
-            answers: set = set()
+            answers = 0
             for response in responses:
                 partial = response.results[index]
                 ledger.local += partial.local
                 ledger.remote += partial.remote
-                answers.update(partial.answers)
+                answers += partial.answers
                 if self.track_edges and partial.edge_counts:
                     counts = ledger.edge_counts
                     for edge, count in partial.edge_counts:
                         counts[edge] = counts.get(edge, 0) + count
             executions.append(
-                QueryExecution(query.name, len(answers), ledger)
+                QueryExecution(query.name, answers, ledger)
             )
         self.last_fanout = FanoutStats(
             executions=len(queries),

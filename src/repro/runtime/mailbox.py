@@ -90,15 +90,14 @@ class ExecuteRequest:
 class PartialResult:
     """One query's partial execution on one worker's owned partitions.
 
-    ``answers`` are the deduplicated answer keys (vertex frozenset plus
-    frozenset of compact int edge ids); unioning them across workers and
-    summing the traversal counts reproduces the serial execution
-    exactly.
+    ``answers`` counts the answers whose canonical embedding is rooted
+    at this worker's seeds; summing counts and traversal counts across
+    workers reproduces the serial execution exactly.
     """
 
     local: int
     remote: int
-    answers: tuple[tuple[frozenset, frozenset], ...]
+    answers: int
     edge_counts: tuple[tuple[Any, int], ...] | None = None
 
 

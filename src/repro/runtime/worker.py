@@ -16,19 +16,19 @@ O(changes) instead of O(graph).  Replay goes through the store's own
 mutators, so a replica that was byte-equivalent at ``from_version`` is
 byte-equivalent at ``to_version``: same dict insertion orders, same
 label index, same recycled slots -- across every worker, which is what
-keeps cross-worker answer dedup sound.  A delta whose ``from_version``
-does not match the resident version is refused without touching state
-(``applied=False``); the coordinator treats that as grounds for a full
-re-prime.
+lets every worker pick the same canonical embedding of each answer.  A
+delta whose ``from_version`` does not match the resident version is
+refused without touching state (``applied=False``); the coordinator
+treats that as grounds for a full re-prime.
 
 For an :class:`~repro.runtime.mailbox.ExecuteRequest` the worker runs,
-for every query in the batch, the search subtrees rooted at the depth-0
+for every query in the batch, the search rooted at the depth-0
 seed candidates homed in its *owned partitions* -- the per-partition
 fan-out seam :meth:`~repro.cluster.executor.DistributedQueryExecutor.execute_partial`
 exposes.  Ownership is derived locally from the shared snapshot, so the
 workers' seed sets partition the serial executor's seed list exactly:
-summing their ledgers and unioning their answer sets reproduces a
-serial execution bit for bit.
+summing their ledgers and answer counts reproduces a serial execution
+bit for bit.
 
 A request that raises is answered with an ``ErrorResponse`` carrying the
 traceback; the worker stays alive for the next request.  Only a
@@ -52,11 +52,13 @@ from repro.runtime.mailbox import (
     ExecuteResponse,
     Hello,
     PartialResult,
+    QueryPayload,
     RefreshRequest,
     RefreshResponse,
     Shutdown,
 )
 from repro.runtime.shm import SharedSnapshotRef, attach_store
+from repro.workload.query import PatternQuery
 
 #: Exit code of a scripted boot/kill fault -- distinguishable from a
 #: genuine interpreter crash in worker post-mortems.
@@ -107,22 +109,27 @@ def execute_request(
     began = time.process_time()
     results = []
     answers_total = local_total = remote_total = 0
+    # A batch repeats a few patterns many times: rebuild each pattern
+    # and find its owned seeds once per request.
+    prepared: dict[QueryPayload, tuple[PatternQuery, list]] = {}
     for payload in request.queries:
-        query = payload.to_query()
-        seeds = [
-            seed
-            for seed in executor.seed_candidates(query.graph)
-            if partition_of(seed) in owned
-        ]
+        if payload not in prepared:
+            query = payload.to_query()
+            prepared[payload] = query, [
+                seed
+                for seed in executor.seed_candidates(query.graph)
+                if partition_of(seed) in owned
+            ]
+        query, seeds = prepared[payload]
         answers, ledger = executor.execute_partial(query, seeds)
-        answers_total += len(answers)
+        answers_total += answers
         local_total += ledger.local
         remote_total += ledger.remote
         results.append(
             PartialResult(
                 local=ledger.local,
                 remote=ledger.remote,
-                answers=tuple(answers),
+                answers=answers,
                 edge_counts=(
                     tuple(sorted(ledger.edge_counts.items(), key=repr))
                     if request.track_edges
@@ -132,8 +139,8 @@ def execute_request(
         )
     cpu_seconds = time.process_time() - began
     # The flat counter delta the coordinator merges (names declared in
-    # repro.obs.catalog).  Per-seed subtrees are independent and answer
-    # keys are produced by exactly one owner, so summing these across
+    # repro.obs.catalog).  Per-seed rows are independent and every
+    # answer is counted by exactly one owner, so summing these across
     # workers reproduces the serial counters exactly.
     metrics = (
         ("worker.requests", {}, 1.0),

@@ -88,10 +88,9 @@ class TestWorkerConservation:
             assert worker_sum(
                 parallel, "worker.traversals", {"scope": scope}
             ) == value(parallel, "executor.traversals", {"scope": scope})
-        # Workers report raw partial answers; the coordinator's merge
-        # dedups by (vertex set, edge ids), so worker-side counts bound
-        # the merged total from above.
-        assert worker_sum(parallel, "worker.answers", {}) >= value(
+        # Each answer is counted by the one worker owning the seed of
+        # its canonical embedding, so answers conserve exactly too.
+        assert worker_sum(parallel, "worker.answers", {}) == value(
             parallel, "executor.answers", {}
         )
         assert value(parallel, "worker.requests", {}) > 0
